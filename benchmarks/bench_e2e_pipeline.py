@@ -92,6 +92,12 @@ def _legacy_rasterize(geometry, nodes, values, reduce="max", fill=0.0):
     return image
 
 
+def _legacy_load_current_map(geometry, grid):
+    loads = grid.loads()
+    values = np.array([n.load_current for n in loads], dtype=float)
+    return _legacy_rasterize(geometry, loads, values, reduce="sum")
+
+
 def _legacy_layer_values_image(
     geometry, grid, full_values, layer, reduce="max", fill=0.0
 ):
@@ -252,7 +258,8 @@ def legacy_feature_paths():
         (resistance, "shortest_path_resistance_map",
          _legacy_shortest_path_resistance_map),
         (density, "pdn_density_map", _legacy_pdn_density_map),
-        (current, "rasterize", _legacy_rasterize),
+        (current, "load_current_map", _legacy_load_current_map),
+        (fusion, "load_current_map", _legacy_load_current_map),
         (numerical, "layer_values_image", _legacy_layer_values_image),
         (powerrush, "layer_values_image", _legacy_layer_values_image),
     ]

@@ -15,14 +15,16 @@ from scipy.ndimage import uniform_filter
 
 from repro.grid.geometry import GridGeometry
 from repro.grid.netlist import PowerGrid
-from repro.grid.raster import rasterize
+from repro.grid.raster import pixel_coords, scatter_to_image
 
 
 def load_current_map(geometry: GridGeometry, grid: PowerGrid) -> np.ndarray:
     """Per-pixel total drain current (A), summed over co-located loads."""
-    loads = grid.loads()
-    values = np.array([n.load_current for n in loads], dtype=float)
-    return rasterize(geometry, loads, values, reduce="sum")
+    load, _ = grid.source_arrays()
+    x, y, _, structured = grid.node_arrays()
+    selected = structured & (load != 0.0)
+    rows, cols = pixel_coords(geometry, x[selected], y[selected])
+    return scatter_to_image(geometry.shape, rows, cols, load[selected], reduce="sum")
 
 
 def _layer_conductance_shares(geometry: GridGeometry) -> dict[int, float]:

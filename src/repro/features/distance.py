@@ -31,20 +31,19 @@ def effective_distance_map(
         Floor applied to individual distances so a pad-containing pixel
         yields 0-ish distance instead of a division by zero.
     """
-    pads = grid.pads()
-    if not pads:
+    pads = grid.pad_indices()
+    if not pads.size:
         raise ValueError("cannot compute effective distance without pads")
+    x, y, _, structured = grid.node_arrays()
     rows, cols = geometry.shape
     ys = (np.arange(rows) + 0.5) * geometry.pixel_h_nm
     xs = (np.arange(cols) + 0.5) * geometry.pixel_w_nm
     grid_x, grid_y = np.meshgrid(xs, ys)
 
     inverse_sum = np.zeros((rows, cols), dtype=float)
-    for pad in pads:
-        if pad.structured is None:
-            continue
-        dx = grid_x - pad.structured.x
-        dy = grid_y - pad.structured.y
+    for pad in pads[structured[pads]].tolist():
+        dx = grid_x - x[pad]
+        dy = grid_y - y[pad]
         distance = np.maximum(np.hypot(dx, dy), eps_nm)
         inverse_sum += 1.0 / distance
     if not inverse_sum.any():

@@ -160,9 +160,7 @@ def shortest_path_resistances(grid: PowerGrid) -> np.ndarray:
     to the Python heap implementation, which tolerates them.
     """
     n = grid.num_nodes
-    pads = np.fromiter(
-        (node.index for node in grid.pads()), dtype=np.int64
-    )
+    pads = grid.pad_indices()
     if n == 0 or pads.size == 0:
         distances = np.full(n, np.inf, dtype=float)
         distances[pads] = 0.0

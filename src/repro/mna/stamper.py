@@ -46,45 +46,48 @@ def build_reduced_system(
     if validate:
         validate_connectivity(grid)
 
-    pad_voltages = {n.index: n.pad_voltage for n in grid.pads()}
-    unknown_indices = np.array(
-        [n.index for n in grid.nodes if not n.is_pad], dtype=np.int64
-    )
-    row_of = {int(g): r for r, g in enumerate(unknown_indices)}
+    load, pad = grid.source_arrays()
+    is_pad = ~np.isnan(pad)
+    pad_indices = np.flatnonzero(is_pad)
+    pad_voltages = dict(zip(pad_indices.tolist(), pad[pad_indices].tolist()))
+    unknown_indices = np.flatnonzero(~is_pad)
     n_unknown = len(unknown_indices)
+    # Reduced row of every grid node; pads map to the spare row n_unknown.
+    row_of = np.full(grid.num_nodes, n_unknown, dtype=np.int64)
+    row_of[unknown_indices] = np.arange(n_unknown)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    # Every accumulation below adds in wire order (bincount and add.at
+    # both apply their inputs in sequence), then the same COO triplets as
+    # a per-wire loop go through the same COO -> CSR -> sum_duplicates,
+    # so the stamped bits do not depend on the vectorisation.
+    node_a, node_b, resistance = grid.wire_arrays()
+    g = 1.0 / resistance
+    row_a, row_b = row_of[node_a], row_of[node_b]
+    ends = np.column_stack((row_a, row_b)).ravel()
+    diag = np.bincount(
+        ends, weights=np.repeat(g, 2), minlength=n_unknown + 1
+    )[:n_unknown].astype(float, copy=False)
+
+    live_a, live_b = row_a < n_unknown, row_b < n_unknown
     rhs = np.zeros(n_unknown, dtype=float)
+    # Exactly one endpoint unknown: the pinned side's coupling g*V.
+    to_a = live_a & ~live_b
+    coupled = np.flatnonzero(live_a != live_b)
+    np.add.at(
+        rhs,
+        np.where(to_a, row_a, row_b)[coupled],
+        g[coupled] * pad[np.where(to_a, node_b, node_a)[coupled]],
+    )
+    loaded = np.flatnonzero(load[unknown_indices] != 0.0)
+    rhs[loaded] -= load[unknown_indices[loaded]]
 
-    diag = np.zeros(n_unknown, dtype=float)
-    for wire in grid.wires:
-        g = wire.conductance
-        a_row = row_of.get(wire.node_a)
-        b_row = row_of.get(wire.node_b)
-        if a_row is not None:
-            diag[a_row] += g
-        if b_row is not None:
-            diag[b_row] += g
-        if a_row is not None and b_row is not None:
-            rows.extend((a_row, b_row))
-            cols.extend((b_row, a_row))
-            vals.extend((-g, -g))
-        elif a_row is not None:
-            rhs[a_row] += g * pad_voltages[wire.node_b]
-        elif b_row is not None:
-            rhs[b_row] += g * pad_voltages[wire.node_a]
-        # pad-to-pad wires contribute nothing to the reduced system
-
-    for node in grid.nodes:
-        row = row_of.get(node.index)
-        if row is not None and node.load_current:
-            rhs[row] -= node.load_current
-
-    rows.extend(range(n_unknown))
-    cols.extend(range(n_unknown))
-    vals.extend(diag)
+    off = np.flatnonzero(live_a & live_b)
+    pairs_row = np.column_stack((row_a[off], row_b[off])).ravel()
+    pairs_col = np.column_stack((row_b[off], row_a[off])).ravel()
+    diagonal = np.arange(n_unknown, dtype=np.int64)
+    rows = np.concatenate((pairs_row, diagonal))
+    cols = np.concatenate((pairs_col, diagonal))
+    vals = np.concatenate((np.repeat(-g[off], 2), diag))
 
     matrix = sp.csr_matrix(
         (vals, (rows, cols)), shape=(n_unknown, n_unknown), dtype=float
@@ -93,7 +96,7 @@ def build_reduced_system(
     if check_diagonal:
         bad = np.flatnonzero(~(diag > 0) | ~np.isfinite(diag))
         if bad.size:
-            names = [grid.node(int(unknown_indices[r])).name for r in bad[:5]]
+            names = [grid.name_of(int(unknown_indices[r])) for r in bad[:5]]
             raise ValueError(
                 f"stamped G has {bad.size} non-positive/non-finite diagonal "
                 f"entries (e.g. nodes {names}); the system is singular or "

@@ -62,6 +62,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive requires Content-Length on every response; _send_json
     # always sets it.
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes; with Nagle on, the body waits
+    # for the client's delayed ACK of the headers (tens of ms per reply).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:

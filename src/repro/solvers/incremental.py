@@ -298,7 +298,8 @@ class IncrementalEngine:
         validate: bool = True,
     ) -> None:
         if supply_voltage is None:
-            levels = {n.pad_voltage for n in grid.pads()}
+            _, pad = grid.source_arrays()
+            levels = set(pad[grid.pad_indices()].tolist())
             if len(levels) != 1:
                 raise ValueError(
                     f"cannot infer a single supply voltage from pads: {levels}"
@@ -316,9 +317,11 @@ class IncrementalEngine:
         self._terms: list[_Term] = []
         self._pinned: dict[int, float] = {}  # reduced row -> voltage
         self._w_cache: dict[tuple, tuple[np.ndarray, int]] = {}
-        self._loads: dict[int, float] = {
-            n.index: n.load_current for n in self._grid.loads()
-        }
+        load, _ = self._grid.source_arrays()
+        loaded = self._grid.load_indices()
+        self._loads: dict[int, float] = dict(
+            zip(loaded.tolist(), load[loaded].tolist())
+        )
         self._structural_dirty = False
         self._x: np.ndarray | None = None  # last unknown-space solution
         self._x_full: np.ndarray | None = None  # last full-grid voltages

@@ -182,7 +182,8 @@ class PowerRushSimulator:
         must then agree on a single level).
         """
         if supply_voltage is None:
-            levels = {n.pad_voltage for n in grid.pads()}
+            _, pad = grid.source_arrays()
+            levels = set(pad[grid.pad_indices()].tolist())
             if len(levels) != 1:
                 raise ValueError(
                     f"cannot infer a single supply voltage from pads: {levels}"

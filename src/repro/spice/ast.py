@@ -8,8 +8,8 @@ those elements plus the title line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,7 +111,44 @@ class VoltageSource:
     voltage: float
 
 
-@dataclass(slots=True)
+class ElementColumns(NamedTuple):
+    """One element kind of a deck, stored columnar.
+
+    ``node_1``/``node_2`` are the two terminals in deck order (a
+    resistor's ``node_a``/``node_b``, a source's from/to or pos/neg);
+    ``values`` holds the ohms, amps, volts or farads as float64.
+    """
+
+    names: list[str]
+    node_1: list[str]
+    node_2: list[str]
+    values: np.ndarray
+
+
+#: Element kind → (element class, its two terminal fields, its value field).
+_KINDS = {
+    "resistors": (Resistor, "node_a", "node_b", "resistance"),
+    "current_sources": (CurrentSource, "node_from", "node_to", "current"),
+    "voltage_sources": (VoltageSource, "node_pos", "node_neg", "voltage"),
+    "capacitors": (Capacitor, "node_a", "node_b", "capacitance"),
+}
+
+
+def _empty_columns() -> ElementColumns:
+    return ElementColumns([], [], [], np.empty(0, dtype=np.float64))
+
+
+def _kind_property(kind: str) -> property:
+    def get(self: "Netlist") -> list:
+        return self._materialise(kind)
+
+    def set_(self: "Netlist", elements: list) -> None:
+        self._elements[kind] = elements
+        self._columns[kind] = None
+
+    return property(get, set_, doc=f"The deck's {kind.replace('_', ' ')} in file order.")
+
+
 class Netlist:
     """An ordered power-grid netlist.
 
@@ -119,73 +156,138 @@ class Netlist:
     ----------
     title:
         Free-form title (the first comment line of the deck, if any).
-    resistors, current_sources, voltage_sources:
-        Elements in file order.
+    resistors, current_sources, voltage_sources, capacitors:
+        Elements in file order, as mutable lists of element records.
+
+    Storage is columnar: a parsed (or unpickled) deck holds one
+    :class:`ElementColumns` per kind and builds no element objects.  The
+    first access to a kind's list attribute materialises its records;
+    from then on that list is the kind's storage (callers may append to
+    it) and :meth:`columns` reads it back.  Consumers that only need the
+    data — :meth:`PowerGrid.from_netlist
+    <repro.grid.netlist.PowerGrid.from_netlist>`, transport, the
+    aggregate queries below — go through :meth:`columns` and never
+    materialise.
     """
 
-    title: str = ""
-    resistors: list[Resistor] = field(default_factory=list)
-    current_sources: list[CurrentSource] = field(default_factory=list)
-    voltage_sources: list[VoltageSource] = field(default_factory=list)
-    capacitors: list[Capacitor] = field(default_factory=list)
+    __slots__ = ("title", "_columns", "_elements")
+
+    resistors = _kind_property("resistors")
+    current_sources = _kind_property("current_sources")
+    voltage_sources = _kind_property("voltage_sources")
+    capacitors = _kind_property("capacitors")
+
+    def __init__(
+        self,
+        title: str = "",
+        resistors: list[Resistor] | None = None,
+        current_sources: list[CurrentSource] | None = None,
+        voltage_sources: list[VoltageSource] | None = None,
+        capacitors: list[Capacitor] | None = None,
+    ) -> None:
+        self.title = title
+        given = (resistors, current_sources, voltage_sources, capacitors)
+        self._elements: dict[str, list | None] = dict(zip(_KINDS, given))
+        self._columns: dict[str, ElementColumns | None] = {
+            kind: _empty_columns() if elements is None else None
+            for kind, elements in self._elements.items()
+        }
+
+    @classmethod
+    def from_columns(cls, title: str = "", **columns: ElementColumns) -> "Netlist":
+        """A deck backed by columns (kinds not given are empty)."""
+        netlist = cls(title)
+        for kind, kind_columns in columns.items():
+            if kind not in _KINDS:
+                raise TypeError(f"unknown element kind {kind!r}")
+            netlist._columns[kind] = kind_columns
+        return netlist
+
+    def _materialise(self, kind: str) -> list:
+        elements = self._elements[kind]
+        if elements is None:
+            factory = _KINDS[kind][0]
+            names, node_1, node_2, values = self._columns[kind]
+            elements = [
+                factory(*fields_)
+                for fields_ in zip(names, node_1, node_2, values.tolist())
+            ]
+            self._elements[kind] = elements
+            self._columns[kind] = None
+        return elements
+
+    def columns(self, kind: str) -> ElementColumns:
+        """*kind*'s elements as columns, without building element records.
+
+        Read-only: the returned lists/array may be the deck's storage.
+        """
+        stored = self._columns[kind]
+        if stored is not None:
+            return stored
+        _, first, second, value = _KINDS[kind]
+        elements = self._elements[kind]
+        return ElementColumns(
+            [e.name for e in elements],
+            [getattr(e, first) for e in elements],
+            [getattr(e, second) for e in elements],
+            np.array([getattr(e, value) for e in elements], dtype=np.float64),
+        )
 
     def __len__(self) -> int:
-        return (
-            len(self.resistors)
-            + len(self.current_sources)
-            + len(self.voltage_sources)
-            + len(self.capacitors)
+        return sum(
+            len(elements) if elements is not None else len(self._columns[kind].names)
+            for kind, elements in self._elements.items()
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Netlist):
+            return NotImplemented
+        if self.title != other.title:
+            return False
+        for kind in _KINDS:
+            mine, theirs = self.columns(kind), other.columns(kind)
+            if mine[:3] != theirs[:3] or not np.array_equal(mine.values, theirs.values):
+                return False
+        return True
+
+    __hash__ = None  # mutable, like the element lists it holds
+
+    def __repr__(self) -> str:
+        counts = ", ".join(
+            f"{kind}={len(self.columns(kind).names)}" for kind in _KINDS
+        )
+        return f"Netlist(title={self.title!r}, {counts})"
 
     # -- transport ----------------------------------------------------------
     #
-    # A parsed deck is tens of thousands of tiny element objects; pickled
-    # naively they dominate every pool payload.  Serialise columnar
-    # instead — packed name arrays plus one value vector per element
-    # kind — so the bulk rides as a handful of ndarrays (which the
-    # shared-memory transport then ships as ~100-byte descriptors) and
-    # the element objects are rebuilt on the receiving side.
+    # A parsed deck is tens of thousands of elements; pickled as objects
+    # they dominate every pool payload.  Serialise columnar instead —
+    # packed name arrays plus one value vector per element kind — so the
+    # bulk rides as a handful of ndarrays (which the shared-memory
+    # transport then ships as ~100-byte descriptors) and the receiving
+    # side adopts the columns without building element objects.
 
     def __getstate__(self) -> dict:
-        def columns(elements, *fields_):
-            return (
-                *(
-                    pack_strings([getattr(e, f) for e in elements])
-                    for f in fields_[:-1]
-                ),
-                np.array([getattr(e, fields_[-1]) for e in elements]),
+        state: dict = {"title": self.title}
+        for kind in _KINDS:
+            names, node_1, node_2, values = self.columns(kind)
+            state[kind] = (
+                pack_strings(names), pack_strings(node_1), pack_strings(node_2), values,
             )
-
-        return {
-            "title": self.title,
-            "resistors": columns(
-                self.resistors, "name", "node_a", "node_b", "resistance"
-            ),
-            "current_sources": columns(
-                self.current_sources, "name", "node_from", "node_to", "current"
-            ),
-            "voltage_sources": columns(
-                self.voltage_sources, "name", "node_pos", "node_neg", "voltage"
-            ),
-            "capacitors": columns(
-                self.capacitors, "name", "node_a", "node_b", "capacitance"
-            ),
-        }
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        def rebuild(factory, packed):
-            *name_columns, values = packed
-            unpacked = [unpack_strings(column) for column in name_columns]
-            return [
-                factory(*strings, float(value))
-                for *strings, value in zip(*unpacked, values)
-            ]
-
         self.title = state["title"]
-        self.resistors = rebuild(Resistor, state["resistors"])
-        self.current_sources = rebuild(CurrentSource, state["current_sources"])
-        self.voltage_sources = rebuild(VoltageSource, state["voltage_sources"])
-        self.capacitors = rebuild(Capacitor, state["capacitors"])
+        self._elements = dict.fromkeys(_KINDS)
+        self._columns = {}
+        for kind in _KINDS:
+            names, node_1, node_2, values = state[kind]
+            self._columns[kind] = ElementColumns(
+                unpack_strings(names),
+                unpack_strings(node_1),
+                unpack_strings(node_2),
+                np.asarray(values, dtype=np.float64),
+            )
 
     def elements(
         self,
@@ -199,24 +301,16 @@ class Netlist:
     def node_names(self) -> set[str]:
         """All node names referenced by any element, excluding ground."""
         names: set[str] = set()
-        for res in self.resistors:
-            names.add(res.node_a)
-            names.add(res.node_b)
-        for src in self.current_sources:
-            names.add(src.node_from)
-            names.add(src.node_to)
-        for pad in self.voltage_sources:
-            names.add(pad.node_pos)
-            names.add(pad.node_neg)
-        for cap in self.capacitors:
-            names.add(cap.node_a)
-            names.add(cap.node_b)
+        for kind in _KINDS:
+            kind_columns = self.columns(kind)
+            names.update(kind_columns.node_1)
+            names.update(kind_columns.node_2)
         names.discard("0")
         return names
 
     def total_load_current(self) -> float:
         """Sum of all current-source magnitudes (the total chip load)."""
-        return sum(src.current for src in self.current_sources)
+        return sum(self.columns("current_sources").values.tolist())
 
     def supply_voltage(self) -> float:
         """The pad voltage, assuming a single supply level.
@@ -227,7 +321,7 @@ class Netlist:
             If the deck has no voltage source or has pads at different
             voltages (multi-domain decks must be split first).
         """
-        voltages = {pad.voltage for pad in self.voltage_sources}
+        voltages = set(self.columns("voltage_sources").values.tolist())
         if not voltages:
             raise ValueError("netlist has no voltage sources (power pads)")
         if len(voltages) > 1:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 GROUND = "0"
 
 _NODE_RE = re.compile(
@@ -74,3 +76,33 @@ def parse_node_name(name: str) -> NodeName:
 def is_structured_name(name: str) -> bool:
     """Whether *name* follows the contest grammar (ground does not)."""
     return _NODE_RE.match(name) is not None
+
+
+def parse_node_names(
+    names: list[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columnar :func:`parse_node_name` over many names at once.
+
+    Returns ``(net, layer, x, y, structured)``: int64 columns plus a bool
+    mask of the names that follow the grammar.  Names that do not carry
+    ``net = x = y = 0`` and ``layer = -1``.
+
+    Raises
+    ------
+    ValueError
+        If a structured name's numbers do not fit in int64.
+    """
+    matches = list(map(_NODE_RE.match, names))
+    structured = np.array([match is not None for match in matches], dtype=bool)
+    fields = [match.groups() for match in matches if match is not None]
+    try:
+        parsed = np.array(fields, dtype=np.int64).reshape(-1, 4)
+    except OverflowError as exc:
+        raise ValueError(f"a node name's coordinates overflow int64: {exc}") from exc
+    columns = []
+    for k, fill in enumerate((0, -1, 0, 0)):
+        column = np.full(len(names), fill, dtype=np.int64)
+        column[structured] = parsed[:, k]
+        columns.append(column)
+    net, layer, x, y = columns
+    return net, layer, x, y, structured

@@ -189,7 +189,7 @@ def floating_components(grid: "PowerGrid") -> list[set[int]]:
     """Connected components with no pad (each is exactly singular)."""
     from repro.grid.topology import connected_components
 
-    pad_indices = {n.index for n in grid.pads()}
+    pad_indices = set(grid.pad_indices().tolist())
     return [
         component
         for component in connected_components(grid)
@@ -202,7 +202,8 @@ def validate_grid(grid: "PowerGrid") -> list[ValidationIssue]:
     from repro.grid.topology import connected_components
 
     issues: list[ValidationIssue] = []
-    if not grid.pads():
+    pad_indices = grid.pad_indices()
+    if not pad_indices.size:
         issues.append(
             ValidationIssue(
                 kind="no_pads",
@@ -213,11 +214,11 @@ def validate_grid(grid: "PowerGrid") -> list[ValidationIssue]:
         return issues
     # One component pass serves both the island check and the count below.
     all_components = connected_components(grid)
-    pad_indices = {n.index for n in grid.pads()}
-    islands = [c for c in all_components if c.isdisjoint(pad_indices)]
+    pads = set(pad_indices.tolist())
+    islands = [c for c in all_components if c.isdisjoint(pads)]
     if islands:
         total = sum(len(c) for c in islands)
-        sample = [grid.node(min(c)).name for c in islands[:3]]
+        sample = [grid.name_of(min(c)) for c in islands[:3]]
         issues.append(
             ValidationIssue(
                 kind="floating_nodes",
@@ -269,7 +270,7 @@ def repair_grid(
     """
     if strategy not in ("ground_tie", "isolate"):
         raise ValueError(f"unknown repair strategy {strategy!r}")
-    if not grid.pads():
+    if not grid.pad_indices().size:
         raise NetlistValidationError(
             "power grid has no voltage pads; cannot repair (exit: bad input)"
         )
@@ -280,19 +281,18 @@ def repair_grid(
     repairs: list[RepairRecord] = []
     for component in sorted(islands, key=min):
         anchor = min(component)
-        repaired.node(anchor).pad_voltage = supply_voltage
+        repaired.pin_pad(anchor, supply_voltage)
         detail = (
-            f"tied node {grid.node(anchor).name!r} of a {len(component)}-node "
+            f"tied node {grid.name_of(anchor)!r} of a {len(component)}-node "
             f"floating component to {supply_voltage} V"
         )
         if strategy == "isolate":
-            zeroed = 0
-            for index in component:
-                node = repaired.node(index)
-                if node.load_current:
-                    node.load_current = 0.0
-                    zeroed += 1
-            detail += f"; zeroed {zeroed} load current(s)"
+            load, _ = repaired.source_arrays()
+            members = np.fromiter(component, np.int64, len(component))
+            drained = members[load[members] != 0.0]
+            for index in drained.tolist():
+                repaired.set_load(index, 0.0)
+            detail += f"; zeroed {drained.size} load current(s)"
         repairs.append(
             RepairRecord(action=strategy, detail=detail, count=len(component))
         )

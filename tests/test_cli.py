@@ -148,6 +148,18 @@ class TestErrorHandling:
         assert code == 2
         assert "error: bad input:" in capsys.readouterr().err
 
+    def test_overflowing_value_exits_2(self, tmp_path, capsys):
+        deck = tmp_path / "overflow.sp"
+        deck.write_text(
+            "R1 n1_m1_0_0 n1_m1_1000_0 1\n"
+            "I1 n1_m1_1000_0 0 1e999\n"
+            "V1 n1_m1_0_0 0 1.05\n"
+            ".end\n"
+        )
+        code = main(["simulate", str(deck)])
+        assert code == 2
+        assert "line 2: non-finite numeric token" in capsys.readouterr().err
+
     def test_missing_model_meta_exits_2(self, tmp_path, deck_path, capsys):
         code = main(["analyze", str(tmp_path / "no_model.npz"), str(deck_path)])
         assert code == 2

@@ -76,18 +76,17 @@ class TestVectorizedFeatureEquivalence:
                 "R2 n1_1_5000_5000 n1_1_6000_5000 3\n"  # pad-free island
             )
         )
-        # Parser/AST refuse negative resistance, so corrupt the grid the
-        # way unguarded downstream mutation would.  The corrupted wire
-        # lives in a component no pad reaches: relaxation never touches
-        # it, so both implementations must agree it stays infinite.
+        # Parser/AST and set_wire_resistance refuse negative resistance,
+        # so corrupt the resistance column the way unguarded downstream
+        # mutation would.  The corrupted wire lives in a component no pad
+        # reaches: relaxation never touches it, so both implementations
+        # must agree it stays infinite.
         island_wire = next(
-            w for w in grid.wires if grid.node(w.node_a).name == "n1_1_5000_5000"
+            k for k, w in enumerate(grid.wires)
+            if grid.node(w.node_a).name == "n1_1_5000_5000"
         )
-        try:
-            island_wire.resistance = -3.0
-        except (AttributeError, TypeError):
-            object.__setattr__(island_wire, "resistance", -3.0)
-        grid._wire_arrays_cache = None
+        grid.wire_arrays()[2][island_wire] = -3.0
+        assert grid.wires[island_wire].resistance == -3.0
         distances = shortest_path_resistances(grid)
         assert distances[grid.node("n1_1_0_0").index] == 0.0
         assert distances[grid.node("n1_1_1000_0").index] == 2.0

@@ -306,6 +306,32 @@ class TestAdmission:
             assert status == 400, payload
             assert body["error"] == "bad_request", payload
 
+    def test_bad_value_deck_is_400(self, daemon):
+        deck = "R1 a b 1\nI1 b 0 1e999\nV1 a 0 1.05\n.end\n"
+        status, body = _post(daemon, {"netlist": deck})
+        assert status == 400
+        assert body["error"] == "bad_input"
+        assert "line 2" in body["message"]
+
+    def test_accepted_socket_has_nodelay(self, daemon, monkeypatch):
+        import socket
+
+        from repro.serve import app
+
+        seen = []
+        setup = app._Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(app._Handler, "setup", recording_setup)
+        status, _ = _get(daemon, "/healthz")
+        assert status == 200
+        assert seen and all(seen)
+
     def test_unknown_model_is_404_and_unknown_job_is_404(self, daemon, deck):
         status, body = _post(daemon, {"netlist": deck, "model": "missing"})
         assert status == 404

@@ -46,6 +46,46 @@ class TestParseValue:
         with pytest.raises(SpiceParseError):
             parse_value("   ")
 
+    @pytest.mark.parametrize(
+        "token, expected",
+        [
+            ("1.", 1.0),
+            (".5", 0.5),
+            ("+2", 2.0),
+            ("-3e-2", -0.03),
+            ("1E3", 1000.0),
+            ("1e-1k", 100.0),
+            ("2Meg", 2e6),
+            ("1e-400", 0.0),  # underflow is finite
+        ],
+    )
+    def test_grammar_accepts(self, token, expected):
+        assert parse_value(token) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1e999", "non-finite"),
+            ("-1e999", "non-finite"),
+            ("1e308k", "non-finite"),
+            ("infinity", "bad numeric"),
+            ("inf", "bad numeric"),
+            ("nan", "bad numeric"),
+            ("1_000", "bad numeric"),
+            ("\u0661\u0662", "bad numeric"),  # Arabic-Indic digits
+            ("1\u212a", "bad numeric"),  # Kelvin sign, lower-cases to k
+            ("0x10", "bad numeric"),
+            ("1e", "bad numeric"),
+            (".", "bad numeric"),
+        ],
+    )
+    def test_grammar_rejects(self, token, message):
+        with pytest.raises(SpiceParseError, match=message):
+            parse_value(token)
+        deck = f"R1 a b 1\nI1 b 0 {token}\nV1 a 0 1\n"
+        with pytest.raises(SpiceParseError, match=f"line 2: {message}"):
+            parse_spice(deck)
+
 
 class TestParseSpice:
     def test_elements_parsed(self):
@@ -101,6 +141,16 @@ class TestParseSpice:
     def test_negative_resistance_raises(self):
         with pytest.raises(SpiceParseError, match="negative"):
             parse_spice("R1 a b -5\n")
+
+    def test_first_bad_line_wins(self):
+        deck = "* t\nR1 a b 1\nR2 a b 1_0\nL1 a b 1\n.end\nR3 a b\n"
+        with pytest.raises(SpiceParseError, match="line 3: bad numeric"):
+            parse_spice(deck)
+
+    def test_crlf_and_suffixed_values(self):
+        netlist = parse_spice("* t\r\nR1 a b 2k\r\nI1 b 0 3m\r\nV1 a 0 1.05\r\n")
+        assert netlist.resistors == [Resistor("R1", "a", "b", 2000.0)]
+        assert netlist.current_sources[0].current == pytest.approx(3e-3)
 
     def test_error_carries_line_number(self):
         with pytest.raises(SpiceParseError, match="line 2"):
