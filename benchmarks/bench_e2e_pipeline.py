@@ -219,11 +219,28 @@ def _legacy_pdn_density_map(geometry, grid, layer=None):
 
 
 def _legacy_connected_components(grid):
-    import networkx as nx
-
-    from repro.grid.topology import to_networkx
-
-    return [set(c) for c in nx.connected_components(to_networkx(grid))]
+    """From-scratch BFS over the wire endpoint columns (the oracle)."""
+    node_a, node_b, _ = grid.wire_arrays()
+    neighbours = [[] for _ in range(grid.num_nodes)]
+    for a, b in zip(node_a.tolist(), node_b.tolist()):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = [False] * grid.num_nodes
+    components = []
+    for start in range(grid.num_nodes):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component, frontier = {start}, [start]
+        while frontier:
+            node = frontier.pop()
+            for other in neighbours[node]:
+                if not seen[other]:
+                    seen[other] = True
+                    component.add(other)
+                    frontier.append(other)
+        components.append(component)
+    return components
 
 
 def _legacy_floating_nodes(grid):

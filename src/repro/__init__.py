@@ -22,6 +22,13 @@ The package is organised bottom-up:
 
 from typing import Any
 
+from repro.obs.trace import monotonic as _monotonic
+
+#: Monotonic stamp taken when the package is first imported: where the
+#: CLI's ``imports`` span and trace root start, so a trace covers the
+#: process's start-up as well as its work.
+IMPORT_STAMP = _monotonic()
+
 __version__ = "1.0.0"
 
 __all__ = ["FusionConfig", "IRFusionPipeline", "__version__"]

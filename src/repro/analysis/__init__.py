@@ -22,56 +22,45 @@ Five pillars, all import-light and kernel-free:
   sanitizer (``REPRO_RACE_CHECK``) that wraps the project's locks and
   shared dicts to flag acquisition-order inversions and unlocked
   writes; the chaos-smoke CI job runs under it.
+
+Exports resolve lazily (PEP 562): the CLI and every pool worker import
+:mod:`repro.analysis.racecheck` at start-up, and that must not load the
+shape verifier's model registry or the lint engine.
 """
 
-from repro.analysis.engine import (
-    AnalysisEngine,
-    AnalysisReport,
-    CallGraphPass,
-    Finding,
-    ModuleSource,
-    Rule,
-)
-from repro.analysis.racecheck import (
-    RaceError,
-    RaceFinding,
-    install_from_env as install_racecheck_from_env,
-)
-from repro.analysis.sanitizer import (
-    NumericsFinding,
-    NumericsTrap,
-    SanitizerSession,
-    check_array,
-)
-from repro.analysis.shapes import (
-    ShapeError,
-    ShapeReport,
-    ShapeVerifier,
-    TensorSpec,
-    verify_feature_contract,
-    verify_model,
-    verify_registry,
-)
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "AnalysisEngine",
-    "AnalysisReport",
-    "CallGraphPass",
-    "Finding",
-    "ModuleSource",
-    "RaceError",
-    "RaceFinding",
-    "Rule",
-    "install_racecheck_from_env",
-    "NumericsFinding",
-    "NumericsTrap",
-    "SanitizerSession",
-    "check_array",
-    "ShapeError",
-    "ShapeReport",
-    "ShapeVerifier",
-    "TensorSpec",
-    "verify_feature_contract",
-    "verify_model",
-    "verify_registry",
-]
+#: Exported name -> (defining submodule, attribute there).
+_EXPORTS = {
+    "AnalysisEngine": ("engine", "AnalysisEngine"),
+    "AnalysisReport": ("engine", "AnalysisReport"),
+    "CallGraphPass": ("engine", "CallGraphPass"),
+    "Finding": ("engine", "Finding"),
+    "ModuleSource": ("engine", "ModuleSource"),
+    "Rule": ("engine", "Rule"),
+    "RaceError": ("racecheck", "RaceError"),
+    "RaceFinding": ("racecheck", "RaceFinding"),
+    "install_racecheck_from_env": ("racecheck", "install_from_env"),
+    "NumericsFinding": ("sanitizer", "NumericsFinding"),
+    "NumericsTrap": ("sanitizer", "NumericsTrap"),
+    "SanitizerSession": ("sanitizer", "SanitizerSession"),
+    "check_array": ("sanitizer", "check_array"),
+    "ShapeError": ("shapes", "ShapeError"),
+    "ShapeReport": ("shapes", "ShapeReport"),
+    "ShapeVerifier": ("shapes", "ShapeVerifier"),
+    "TensorSpec": ("shapes", "TensorSpec"),
+    "verify_feature_contract": ("shapes", "verify_feature_contract"),
+    "verify_model": ("shapes", "verify_model"),
+    "verify_registry": ("shapes", "verify_registry"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    target = _EXPORTS.get(name)
+    if target is None:
+        raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
+    module, attr = target
+    return getattr(import_module(f"repro.analysis.{module}"), attr)

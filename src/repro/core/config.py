@@ -3,14 +3,32 @@
 One :class:`FusionConfig` fixes the dataset, the solver budget, the
 feature families, the model size and the training regime, so experiments
 (and their ablations) differ in exactly one declared knob.
+
+This module is a leaf: it imports no other ``repro`` module at load
+time.  The nested feature and training configs are built by deferred
+default factories, so ``import repro.core.config`` stays cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from repro.features.fusion import FeatureConfig
-from repro.train.trainer import TrainConfig
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.features.fusion import FeatureConfig
+    from repro.train.trainer import TrainConfig
+
+
+def _default_features() -> "FeatureConfig":
+    from repro.features.fusion import FeatureConfig
+
+    return FeatureConfig()
+
+
+def _default_train() -> "TrainConfig":
+    from repro.train.trainer import TrainConfig
+
+    return TrainConfig()
 
 
 @dataclass(frozen=True)
@@ -99,13 +117,13 @@ class FusionConfig:
     solver_iterations: int = 2
     solver_preset: str = "fast"
     solver_iteration_mix: tuple[int, ...] | None = None
-    features: FeatureConfig = field(default_factory=FeatureConfig)
+    features: FeatureConfig = field(default_factory=_default_features)
     model_name: str = "ir_fusion"
     base_channels: int = 6
     depth: int = 3
     model_seed: int = 0
     model_kwargs: dict = field(default_factory=dict)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = field(default_factory=_default_train)
     augment: bool = True
     oversample_fake: int = 2
     oversample_real: int = 5

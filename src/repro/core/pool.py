@@ -9,6 +9,8 @@ degrade to serial:
   the pool is safe off the main thread, under nested/threaded callers,
   and on platforms without ``fork``.  Job payloads (the callable and a
   chaos plan) are pickled once per worker per job; items once per job.
+  Each worker enters through :mod:`repro.core.worker_entry`, which caps
+  its BLAS threads at ``cpu_count // workers`` before numpy loads.
 - **persistent** — workers are long-lived and lazily started; the module
   pool survives across ``map`` calls, amortising interpreter start-up,
   and shuts itself down after ``idle_timeout`` seconds without work.  A
@@ -74,6 +76,7 @@ from multiprocessing import connection, get_context
 from typing import Callable, Sequence
 
 from repro.core import shm as _shm
+from repro.core import worker_entry as _worker_entry
 from repro.obs import (
     counter_add,
     counters_delta,
@@ -780,9 +783,16 @@ class WorkerPool:
         self._slot_counter += 1
         slot = self._slot_counter
         parent_conn, child_conn = self._context.Pipe(duplex=True)
+        # The target lives in a numpy-free module, so the child caps its
+        # BLAS threads before anything loads numpy (see worker_entry).
         process = self._context.Process(
-            target=_worker_main,
-            args=(slot, child_conn, self.options.heartbeat_interval),
+            target=_worker_entry.run,
+            args=(
+                slot,
+                child_conn,
+                self.options.heartbeat_interval,
+                _worker_entry.blas_threads(self._target),
+            ),
             name=f"repro-pool-worker-{slot}",
             daemon=True,
         )

@@ -11,7 +11,6 @@ see the same demand but aggregated over wider regions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.grid.geometry import GridGeometry
 from repro.grid.netlist import PowerGrid
@@ -25,6 +24,32 @@ def load_current_map(geometry: GridGeometry, grid: PowerGrid) -> np.ndarray:
     selected = structured & (load != 0.0)
     rows, cols = pixel_coords(geometry, x[selected], y[selected])
     return scatter_to_image(geometry.shape, rows, cols, load[selected], reduce="sum")
+
+
+def box_filter(image: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a *size*-wide window on every axis, edges clamped.
+
+    Bitwise equal to ``scipy.ndimage.uniform_filter(image, size,
+    mode="nearest")`` on float64 input, without importing
+    ``scipy.ndimage``.  Axis by axis, the window sum is seeded by the
+    first window summed left to right, then moved one step at a time by
+    adding ``entering - leaving``, and divided once by *size* — the
+    order scipy's C loop uses.  A 1-wide window is the identity (scipy
+    skips such axes).
+    """
+    out = np.array(image, dtype=float)
+    size = max(1, int(size))
+    if size == 1:
+        return out
+    before = size // 2
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        clamped = np.clip(np.arange(-before, n + size - 1 - before), 0, n - 1)
+        padded = np.moveaxis(out.take(clamped, axis=axis), axis, 0)
+        steps = np.concatenate([padded[:size], padded[size:] - padded[: n - 1]])
+        window_sums = np.cumsum(steps, axis=0)[size - 1 :]
+        out = np.moveaxis(window_sums / size, 0, axis)
+    return out
 
 
 def _layer_conductance_shares(geometry: GridGeometry) -> dict[int, float]:
@@ -52,6 +77,6 @@ def layer_current_maps(
     maps: dict[int, np.ndarray] = {}
     for info in geometry.layers:
         window = max(1, int(round(info.pitch_nm / max(geometry.pixel_w_nm, 1))))
-        smoothed = uniform_filter(base, size=window, mode="nearest")
+        smoothed = box_filter(base, window)
         maps[info.index] = shares[info.index] * smoothed
     return maps

@@ -16,7 +16,6 @@ from repro.grid.netlist import PGNode, PGWire, PowerGrid
 from repro.grid.topology import (
     connected_components,
     floating_nodes,
-    to_networkx,
     validate_connectivity,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "PowerGrid",
     "connected_components",
     "floating_nodes",
-    "to_networkx",
     "validate_connectivity",
 ]

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.solvers.base import norm
+
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -84,11 +86,11 @@ class ReducedSystem:
 
     def residual_norm(self, x: np.ndarray) -> float:
         """Two-norm of ``b - Gx`` for a candidate solution."""
-        return float(np.linalg.norm(self.rhs - self.matrix @ x))
+        return norm(self.rhs - self.matrix @ x)
 
     def relative_residual(self, x: np.ndarray) -> float:
         """``||b - Gx|| / ||b||`` (0 if b is the zero vector)."""
-        denom = float(np.linalg.norm(self.rhs))
+        denom = norm(self.rhs)
         if denom == 0.0:
             return 0.0
         return self.residual_norm(x) / denom

@@ -13,8 +13,8 @@ gating signal from the decoder before concatenation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
+from repro.nn.functional import sigmoid
 from repro.nn.init import construction_rng, kaiming_normal
 from repro.nn.layers import Conv2d, ReLU, Sigmoid
 from repro.nn.module import Module, Parameter
@@ -67,7 +67,7 @@ class ChannelAttention(Module):
         mx = m.max(axis=(2, 3))
         avg_out, avg_cache = self._mlp_forward(avg)
         max_out, max_cache = self._mlp_forward(mx)
-        scale = expit(avg_out + max_out)  # (N, C)
+        scale = sigmoid(avg_out + max_out)  # (N, C)
         out = m * scale[:, :, None, None]
         self._cache = {
             "m": m,
@@ -115,7 +115,7 @@ class SpatialAttention(Module):
         max_c = m.max(axis=1, keepdims=True)
         descriptor = np.concatenate([mean_c, max_c], axis=1)
         logits = self.conv(descriptor)
-        scale = expit(logits)  # (N, 1, H, W)
+        scale = sigmoid(logits)  # (N, 1, H, W)
         out = m * scale
         self._cache = {"m": m, "scale": scale, "max_c": max_c}
         return out

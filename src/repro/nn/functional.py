@@ -83,6 +83,21 @@ class Workspace:
         return len(self._buffers)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid: ``scipy.special.expit``, imported on first call.
+
+    ``scipy.special`` costs tens of milliseconds to import and only a
+    forward pass needs it, so importing the model stack (the CLI, a pool
+    worker's bootstrap) must not load it.  The bits stay expit's: a
+    numpy ``1 / (1 + exp(-x))`` moves the last bit of about 2 % of
+    float64 outputs (numpy's SIMD ``exp`` is not libm's), and a training
+    run amplifies that into different trained weights.
+    """
+    from scipy.special import expit
+
+    return expit(x)
+
+
 def to_pair(value: int | Pair) -> Pair:
     """Normalise an int or pair to a (height, width) pair."""
     if isinstance(value, int):

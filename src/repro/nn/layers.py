@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from repro.nn.functional import (
     Pair,
@@ -16,6 +15,7 @@ from repro.nn.functional import (
     im2col,
     maxpool2d_backward,
     maxpool2d_forward,
+    sigmoid,
     to_pair,
     upsample_nearest_backward,
     upsample_nearest_forward,
@@ -374,7 +374,7 @@ class Sigmoid(Module):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = expit(x)
+        self._out = sigmoid(x)
         return self._out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

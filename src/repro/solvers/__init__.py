@@ -11,73 +11,59 @@ as an implicit preconditioner for CG.  Supporting pieces:
 - :mod:`repro.solvers.cycles` — V-, W- and K-cycle preconditioner application.
 - :mod:`repro.solvers.direct` — sparse-LU golden reference solver.
 - :mod:`repro.solvers.powerrush` — the end-to-end PowerRush-style simulator.
+
+Exports resolve lazily (PEP 562): importing one solver module does not
+load the others, so the analyze path never imports the ECO, Schwarz,
+random-walk, macromodel or vectored engines.
 """
 
-from repro.solvers.amg import AMGHierarchy, AMGLevel, build_hierarchy
-from repro.solvers.amg_pcg import AMGPCGSolver
-from repro.solvers.base import SolveResult, SolverOptions
-from repro.solvers.cg import CGSolver, JacobiPCGSolver
-from repro.solvers.cycles import CyclePreconditioner
-from repro.solvers.direct import DirectSolver
-from repro.solvers.guard import (
-    FallbackCascade,
-    GuardrailOptions,
-    IterationGuard,
-    SolverDiagnostics,
-    SolverFailure,
-)
-from repro.solvers.powerrush import PowerRushSimulator, SimulationReport
-from repro.solvers.incremental import (
-    AddPad,
-    GridDelta,
-    IncrementalAnalyzer,
-    IncrementalEngine,
-    IncrementalOptions,
-    IncrementalSolve,
-    RemovePad,
-    ReviseLoads,
-    ScaleWire,
-    SetWireResistance,
-)
-from repro.solvers.macromodel import SchurReduction, layer_port_rows
-from repro.solvers.schwarz import AdditiveSchwarzPreconditioner, SchwarzPCGSolver
-from repro.solvers.random_walk import RandomWalkOptions, RandomWalkSolver
-from repro.solvers.vectored import VectoredAnalyzer, VectoredResult
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "AMGHierarchy",
-    "AMGLevel",
-    "AMGPCGSolver",
-    "CGSolver",
-    "CyclePreconditioner",
-    "DirectSolver",
-    "FallbackCascade",
-    "GuardrailOptions",
-    "IterationGuard",
-    "SolverDiagnostics",
-    "SolverFailure",
-    "AddPad",
-    "GridDelta",
-    "IncrementalAnalyzer",
-    "IncrementalEngine",
-    "IncrementalOptions",
-    "IncrementalSolve",
-    "RemovePad",
-    "ReviseLoads",
-    "ScaleWire",
-    "SetWireResistance",
-    "JacobiPCGSolver",
-    "PowerRushSimulator",
-    "RandomWalkOptions",
-    "RandomWalkSolver",
-    "AdditiveSchwarzPreconditioner",
-    "SchurReduction",
-    "SchwarzPCGSolver",
-    "layer_port_rows",
-    "SimulationReport",
-    "SolveResult",
-    "SolverOptions",
-    "VectoredAnalyzer",
-    "VectoredResult",
-    "build_hierarchy",
-]
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "AdditiveSchwarzPreconditioner": "schwarz",
+    "AddPad": "incremental",
+    "AMGHierarchy": "amg",
+    "AMGLevel": "amg",
+    "AMGPCGSolver": "amg_pcg",
+    "build_hierarchy": "amg",
+    "CGSolver": "cg",
+    "CyclePreconditioner": "cycles",
+    "DirectSolver": "direct",
+    "FallbackCascade": "guard",
+    "GridDelta": "incremental",
+    "GuardrailOptions": "guard",
+    "IncrementalAnalyzer": "incremental",
+    "IncrementalEngine": "incremental",
+    "IncrementalOptions": "incremental",
+    "IncrementalSolve": "incremental",
+    "IterationGuard": "guard",
+    "JacobiPCGSolver": "cg",
+    "layer_port_rows": "macromodel",
+    "PowerRushSimulator": "powerrush",
+    "RandomWalkOptions": "random_walk",
+    "RandomWalkSolver": "random_walk",
+    "RemovePad": "incremental",
+    "ReviseLoads": "incremental",
+    "ScaleWire": "incremental",
+    "SchurReduction": "macromodel",
+    "SchwarzPCGSolver": "schwarz",
+    "SetWireResistance": "incremental",
+    "SimulationReport": "powerrush",
+    "SolverDiagnostics": "guard",
+    "SolveResult": "base",
+    "SolverFailure": "guard",
+    "SolverOptions": "base",
+    "VectoredAnalyzer": "vectored",
+    "VectoredResult": "vectored",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.solvers' has no attribute {name!r}")
+    return getattr(import_module(f"repro.solvers.{module}"), name)

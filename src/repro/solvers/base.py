@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -124,6 +125,24 @@ class Timer:
         elapsed = now - self._start
         self._start = now
         return elapsed
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a · b`` summed by numpy's own reduction, never by BLAS.
+
+    BLAS ``ddot`` (what ``a @ b`` and ``np.linalg.norm`` call for long
+    vectors) splits the sum across its threads, so its last bit depends
+    on the BLAS thread count.  ``np.add.reduce`` sums in one fixed
+    order on the calling thread: a solve gives the same bits in a pool
+    worker capped at one BLAS thread as in a parent running several.
+    Every vector reduction on the solve path goes through here.
+    """
+    return float(np.add.reduce(a * b))
+
+
+def norm(a: np.ndarray) -> float:
+    """Two-norm of *a* through :func:`dot` (thread-count invariant)."""
+    return math.sqrt(dot(a, a))
 
 
 def check_system(matrix: sp.spmatrix, rhs: np.ndarray) -> sp.csr_matrix:

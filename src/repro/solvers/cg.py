@@ -13,7 +13,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.solvers.base import SolveResult, SolverOptions, Timer, check_system
+from repro.solvers.base import (
+    SolveResult,
+    SolverOptions,
+    Timer,
+    check_system,
+    dot,
+    norm,
+)
 from repro.solvers.guard import GuardrailOptions, IterationGuard
 
 #: Backend-dispatched sparse matvec, resolved on first use — importing
@@ -120,9 +127,9 @@ def _pcg(
     n = rhs.shape[0]
     x = np.zeros(n, dtype=float) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = rhs - csr_matvec(matrix, x)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = norm(rhs)
     target = options.tol * rhs_norm if rhs_norm > 0 else options.tol
-    initial_norm = float(np.linalg.norm(r))
+    initial_norm = norm(r)
     if guard is not None:
         initial_norm = guard.observe(0, initial_norm)
     history = [initial_norm] if options.record_history else []
@@ -142,11 +149,11 @@ def _pcg(
     if aborted is None:
         z = preconditioner(r) if preconditioner is not None else r.copy()
         p = z.copy()
-        rz = float(r @ z)
+        rz = dot(r, z)
 
         for _ in range(options.max_iterations):
             ap = csr_matvec(matrix, p)
-            pap = float(p @ ap)
+            pap = dot(p, ap)
             if not np.isfinite(pap):
                 aborted = "nan_residual"
                 break
@@ -159,7 +166,7 @@ def _pcg(
             x += alpha * p
             r_new = r - alpha * ap
             iterations += 1
-            res_norm = float(np.linalg.norm(r_new))
+            res_norm = norm(r_new)
             if guard is not None:
                 res_norm = guard.observe(iterations, res_norm)
             if options.record_history:
@@ -173,11 +180,12 @@ def _pcg(
                 converged = True
                 break
             z_new = preconditioner(r_new) if preconditioner is not None else r_new.copy()
+            rz_new = dot(r_new, z_new)
             if flexible:
-                beta = float(z_new @ (r_new - r)) / rz
+                beta = dot(z_new, r_new - r) / rz
             else:
-                beta = float(r_new @ z_new) / rz
-            rz = float(r_new @ z_new)
+                beta = rz_new / rz
+            rz = rz_new
             p = z_new + beta * p
             r = r_new
 

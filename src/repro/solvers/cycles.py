@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.solvers.amg import AMGHierarchy
+from repro.solvers.base import dot, norm
 from repro.solvers.smoothers import gauss_seidel, jacobi
 
 
@@ -127,7 +128,7 @@ class CyclePreconditioner:
         turn recurses) — the defining K-cycle structure.
         """
         matrix = self.hierarchy.levels[level].matrix
-        rhs_norm = float(np.linalg.norm(rhs))
+        rhs_norm = norm(rhs)
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
         target = self.options.kcycle_tol * rhs_norm
@@ -136,22 +137,22 @@ class CyclePreconditioner:
         r = rhs.copy()
         z = self._cycle_once(level, r)
         p = z.copy()
-        rz = float(r @ z)
+        rz = dot(r, z)
         for step in range(self.options.kcycle_steps):
             ap = matrix @ p
-            pap = float(p @ ap)
+            pap = dot(p, ap)
             if pap <= 0.0 or rz == 0.0:
                 break
             alpha = rz / pap
             x += alpha * p
             r_new = r - alpha * ap
-            if float(np.linalg.norm(r_new)) <= target:
+            if norm(r_new) <= target:
                 break
             if step == self.options.kcycle_steps - 1:
                 break
             z_new = self._cycle_once(level, r_new)
-            beta = float(z_new @ (r_new - r)) / rz  # flexible (Polak-Ribiere)
-            rz = float(r_new @ z_new)
+            beta = dot(z_new, r_new - r) / rz  # flexible (Polak-Ribiere)
+            rz = dot(r_new, z_new)
             r = r_new
             p = z_new + beta * p
         return x

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from repro.solvers.base import SolveResult, Timer, check_system
+from repro.solvers.base import SolveResult, Timer, check_system, norm
 
 
 class DirectSolver:
@@ -40,12 +40,12 @@ class DirectSolver:
         setup = timer.lap()
         x = self._cached_factor.solve(rhs)
         solve = timer.lap()
-        residual = float(np.linalg.norm(rhs - csr @ x))
+        residual = norm(rhs - csr @ x)
         return SolveResult(
             x=np.asarray(x, dtype=float),
             iterations=1,
             converged=True,
-            residual_norms=[float(np.linalg.norm(rhs)), residual],
+            residual_norms=[norm(rhs), residual],
             setup_seconds=setup,
             solve_seconds=solve,
         )

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.features.current import layer_current_maps, load_current_map
+from repro.features.current import (
+    box_filter,
+    layer_current_maps,
+    load_current_map,
+)
 from repro.features.density import pdn_density_map
 from repro.features.distance import effective_distance_map
 from repro.features.numerical import numerical_layer_maps
@@ -47,6 +51,28 @@ class TestCurrentMaps:
             for layer, m in maps.items()
         }
         assert cv[3] <= cv[1] + 1e-9
+
+
+class TestBoxFilter:
+    """``box_filter`` against scipy's ``uniform_filter`` as the oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_scipy_uniform_filter(self, seed):
+        from scipy.ndimage import uniform_filter
+
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            h, w = rng.integers(1, 40, size=2)
+            size = int(rng.integers(1, 12))
+            image = rng.standard_normal((h, w)) * 10.0 ** rng.uniform(-6, 3)
+            image[rng.random((h, w)) < rng.random()] = 0.0
+            expected = uniform_filter(image, size=size, mode="nearest")
+            assert box_filter(image, size).tobytes() == expected.tobytes()
+
+    def test_unit_window_is_a_copy(self):
+        image = np.arange(6.0).reshape(2, 3)
+        out = box_filter(image, 1)
+        assert out.tobytes() == image.tobytes() and out is not image
 
 
 class TestEffectiveDistance:

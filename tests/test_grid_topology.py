@@ -7,7 +7,6 @@ from repro.grid.topology import (
     connected_components,
     effective_pad_resistance,
     floating_nodes,
-    to_networkx,
     validate_connectivity,
 )
 from repro.spice.parser import parse_spice
@@ -15,20 +14,6 @@ from repro.spice.parser import parse_spice
 
 def grid_from(text: str) -> PowerGrid:
     return PowerGrid.from_netlist(parse_spice(text))
-
-
-class TestGraphView:
-    def test_parallel_resistors_combine(self):
-        grid = grid_from("R1 a b 2\nR2 a b 2\nV1 a 0 1\n")
-        graph = to_networkx(grid)
-        edge = graph[grid.index_of("a")][grid.index_of("b")]
-        assert edge["conductance"] == pytest.approx(1.0)
-        assert edge["resistance"] == pytest.approx(1.0)
-
-    def test_nodes_and_edges(self, tiny_grid):
-        graph = to_networkx(tiny_grid)
-        assert graph.number_of_nodes() == tiny_grid.num_nodes
-        assert graph.number_of_edges() == 4
 
 
 class TestConnectivity:

@@ -11,10 +11,26 @@ from repro.nn.functional import (
     im2col,
     maxpool2d_backward,
     maxpool2d_forward,
+    sigmoid,
     to_pair,
     upsample_nearest_backward,
     upsample_nearest_forward,
 )
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_scipy_expit_bitwise(self, dtype):
+        from scipy.special import expit
+
+        x = (np.random.default_rng(0).standard_normal(10_000) * 8.0).astype(dtype)
+        out = sigmoid(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == expit(x).tobytes()
+
+    def test_saturates_silently(self):
+        with np.errstate(all="raise"):
+            assert sigmoid(np.array([-1e4, 0.0, 1e4])).tolist() == [0.0, 0.5, 1.0]
 
 
 class TestToPair:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.mna.stamper import build_reduced_system
-from repro.solvers.base import SolverOptions
+from repro.solvers.base import SolverOptions, dot, norm
 from repro.solvers.cg import CGSolver, JacobiPCGSolver
 
 
@@ -107,3 +107,12 @@ class TestSolverOptions:
         )
         factor = result.convergence_factor()
         assert 0.0 <= factor < 1.0
+
+
+class TestReductions:
+    def test_dot_and_norm_match_blas_to_rounding(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(50_000), rng.standard_normal(50_000)
+        assert dot(a, b) == pytest.approx(float(a @ b), rel=1e-12, abs=1e-9)
+        assert norm(a) == pytest.approx(float(np.linalg.norm(a)), rel=1e-12)
+        assert isinstance(dot(a, b), float) and norm(np.zeros(3)) == 0.0
